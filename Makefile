@@ -49,12 +49,13 @@ race-matbgp:
 
 # Race-focused pass over the incremental-repair stack: the delta
 # vocabulary, the matbgp repair differential suite (repaired columns vs
-# full rebuild), the cdn epoch layer (repair chains + epoch caches
+# full rebuild, including leaf-only deltas that only the leaf refill
+# repairs), the cdn epoch layer (repair chains + epoch caches
 # shared behind one mutex), and the core epoch acceptance gate (xfaults/
 # xflap sequences bit-identical to rebuilds at workers 1/2/8).
 race-delta:
 	$(GO) test -race ./internal/delta/
-	$(GO) test -race -run 'TestRepair|TestRibRepairer|TestStartRepair' ./internal/matbgp/
+	$(GO) test -race -run 'TestRepair|TestRibRepairer|TestStartRepair|TestLeafEdgeCases' ./internal/matbgp/
 	$(GO) test -race -run 'TestEpoch' ./internal/cdn/
 	$(GO) test -race -run 'TestEpochRepairBitIdenticalAcrossWorkers|TestRepairWalkerMatchesRebuild|TestFaultEpochsMemoized' ./internal/core/
 
@@ -91,10 +92,11 @@ fuzz-session:
 fuzz-matbgp:
 	$(GO) test -run=^$$ -fuzz=FuzzMatbgpVsOracle -fuzztime=$(FUZZTIME) ./internal/matbgp/
 
-# Differential fuzz of incremental route repair: random delta sequences
-# (link downs/ups, inverted walks) applied to a repair chain must leave
-# every column bit-identical to a fresh all-pairs rebuild at the same
-# down set.
+# Differential fuzz of incremental route repair: random announcement
+# sets (prepends, selective announcement) and delta sequences applied to
+# a repair chain must leave every column bit-identical to a fresh
+# rebuild at the same down set, and its RIB identical to the recursive
+# reference's.
 fuzz-delta:
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRepair -fuzztime=$(FUZZTIME) ./internal/matbgp/
 
@@ -127,9 +129,10 @@ stress-serve:
 	STRESS_SERVE=1 $(GO) test -race -run 'TestStressServeOverload' -v -timeout 10m ./internal/serve/
 
 # The full pre-merge gate: formatting, static checks, build, the whole
-# test suite, the race-focused passes, the delta-repair differential
-# fuzz, and the race-enabled overload soak, in fail-fast order.
-verify: fmt-check vet build test race-par race-session race-matbgp race-delta race-serve fuzz-delta stress-serve
+# test suite, the race-focused passes, the two route-engine
+# differential fuzzers (column vs reference, repair vs rebuild and
+# reference), and the race-enabled overload soak, in fail-fast order.
+verify: fmt-check vet build test race-par race-session race-matbgp race-delta race-serve fuzz-matbgp fuzz-delta stress-serve
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -56,6 +56,21 @@ func synthWorld(nTier1, nTransit, nStub int) (int, []int, []Link) {
 	return n, asn, links
 }
 
+// distinctOrigins lists one origin per distinct column: every non-stub,
+// then one representative per stub class.
+func distinctOrigins(g *Graph) []int {
+	var origins []int
+	for v := 0; v < g.NumASes(); v++ {
+		if g.ClassOf(v) < 0 {
+			origins = append(origins, v)
+		}
+	}
+	for c := 0; c < g.NumClasses(); c++ {
+		origins = append(origins, int(g.ClassMembers(c)[0]))
+	}
+	return origins
+}
+
 // benchSink defeats dead-code elimination across benchmark iterations.
 var benchSink uint32
 
@@ -72,16 +87,7 @@ func BenchmarkMatbgpAllPairs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Distinct columns: all non-stubs, then one representative per class.
-	var origins []int
-	for v := 0; v < g.NumASes(); v++ {
-		if g.ClassOf(v) < 0 {
-			origins = append(origins, v)
-		}
-	}
-	for c := 0; c < g.NumClasses(); c++ {
-		origins = append(origins, int(g.ClassMembers(c)[0]))
-	}
+	origins := distinctOrigins(g)
 	b.ReportMetric(float64(g.NumASes()), "ases")
 	b.ReportMetric(float64(len(origins)), "columns")
 	b.ResetTimer()
@@ -133,15 +139,7 @@ func BenchmarkDeltaRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var origins []int
-	for v := 0; v < g.NumASes(); v++ {
-		if g.ClassOf(v) < 0 {
-			origins = append(origins, v)
-		}
-	}
-	for c := 0; c < g.NumClasses(); c++ {
-		origins = append(origins, int(g.ClassMembers(c)[0]))
-	}
+	origins := distinctOrigins(g)
 	sc := g.NewRepairScratch()
 	reps := make([]*Repairer, len(origins))
 	for i, origin := range origins {

@@ -2,6 +2,7 @@ package matbgp
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -237,4 +238,68 @@ func TestEngineClassColumnSingleflight(t *testing.T) {
 	if len(e.inflight) != 0 {
 		t.Fatalf("in-flight map not drained: %d entries", len(e.inflight))
 	}
+}
+
+// TestColumnPoolConcurrent drives Graph.column from several goroutines
+// at once over one Graph, so pooled column scratch is handed between
+// them — including scratch returned by columns that failed mid-
+// propagation (path-length capacity) or before it (duplicate origin).
+// Every answer must equal the sequential one.
+func TestColumnPoolConcurrent(t *testing.T) {
+	topo := repairTopo(t, 1)
+	g, err := FromTopo(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, nl := topo.NumASes(), len(topo.Links)
+	type query struct {
+		anns []bgp.Announcement
+		down map[int]bool
+	}
+	queries := []query{
+		{anns: []bgp.Announcement{{Origin: 0, Prepend: maxPathLen - 2}}},
+		{anns: []bgp.Announcement{{Origin: 1}, {Origin: 1}}},
+	}
+	rng := rand.New(rand.NewSource(31))
+	for len(queries) < 24 {
+		q := query{anns: []bgp.Announcement{{Origin: rng.Intn(n)}}}
+		if rng.Intn(2) == 0 {
+			q.down = map[int]bool{rng.Intn(nl): true, rng.Intn(nl): true}
+		}
+		queries = append(queries, q)
+	}
+	type answer struct {
+		col []uint32
+		err string
+	}
+	ask := func(q query) answer {
+		col, err := g.column(q.anns, q.down)
+		if err != nil {
+			return answer{err: err.Error()}
+		}
+		return answer{col: col}
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		want[i] = ask(q)
+	}
+	if want[0].err == "" || want[1].err == "" {
+		t.Fatalf("failing queries succeeded: %q, %q", want[0].err, want[1].err)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range queries {
+				i := (k*5 + w) % len(queries)
+				if got := ask(queries[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("worker %d query %d: concurrent answer differs from sequential", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

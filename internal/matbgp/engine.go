@@ -102,8 +102,8 @@ func (e *Engine) columnFor(anns []bgp.Announcement, down map[int]bool) ([]uint32
 // propagating only once per equivalence class. For a non-representative
 // member the cached column is exact except for three spots the class
 // signature abstracts away, each fixed up here: the member's own row
-// (it is the origin now), the representative's row (its geographic
-// tie-breaks are its own, so its next hop is re-decided from its
+// (it is the origin now), the representative's row (it is a leaf now,
+// with its own geographic tie-breaks, so leafRow re-decides it from its
 // neighbors' settled routes), and next-hop labels (routes that pointed
 // at the representative point at the member). Link IDs at the origin's
 // direct adopters also differ, but links are not in the packed word at
@@ -126,7 +126,7 @@ func (e *Engine) classColumn(class, origin int32) ([]uint32, error) {
 		out[v] = w
 	}
 	out[origin] = packWord(relOrigin, 1, origin)
-	repRow, err := g.rowForStub(rep, out)
+	repRow, err := g.leafRow(rep, out, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,57 +164,6 @@ func (e *Engine) repColumn(class, rep int32) ([]uint32, error) {
 	fl.col, fl.err = col, err
 	close(fl.done)
 	return col, err
-}
-
-// rowForStub decides a stub's best route against an already-settled
-// column in one pass over its neighbors: providers export everything,
-// peers export customer-cone routes, and the stub (not an origin here)
-// picks by relation class, then length, then its own geographic
-// tie-break, neighbor ASN, and link — the full decision process.
-func (g *Graph) rowForStub(v int32, col []uint32) (uint32, error) {
-	var b cand
-	bSrc := relNone
-	for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-		u := g.adjOther[i]
-		if col[u] == 0 {
-			continue
-		}
-		rel, ln, _ := unpackWord(col[u])
-		var src uint8
-		switch g.adjView[i] {
-		case uint8(topology.ViewProvider):
-			src = relProvider
-		case uint8(topology.ViewPeer):
-			if rel > relCustomer {
-				continue
-			}
-			src = relPeer
-		default: // a customer adjacency would make v a non-stub
-			continue
-		}
-		c := cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]}
-		switch {
-		case bSrc == relNone:
-		case src != bSrc:
-			if src > bSrc {
-				continue
-			}
-		case c.ln != b.ln:
-			if c.ln > b.ln {
-				continue
-			}
-		case !candLess(c, b):
-			continue
-		}
-		b, bSrc = c, src
-	}
-	if bSrc == relNone {
-		return 0, nil
-	}
-	if b.ln > maxPathLen {
-		return 0, fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
-	}
-	return packWord(bSrc, b.ln, b.nh), nil
 }
 
 // materialize decompresses a packed column into per-AS Routes with path

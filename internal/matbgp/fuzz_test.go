@@ -1,7 +1,6 @@
 package matbgp
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -39,6 +38,51 @@ func fuzzWorldFor(f *testing.F, seed uint64) *fuzzWorld {
 	return w
 }
 
+// fuzzProgram reads a fuzz input byte by byte, yielding zeros once it
+// is exhausted.
+type fuzzProgram struct {
+	b []byte
+	i int
+}
+
+func (p *fuzzProgram) next() int {
+	if p.i >= len(p.b) {
+		return 0
+	}
+	p.i++
+	return int(p.b[p.i-1])
+}
+
+func (p *fuzzProgram) more() bool { return p.i < len(p.b) }
+
+// fuzzAnns decodes norigins announcements from a fuzz program: per
+// origin, an origin byte and an op byte whose low bits select a prepend
+// (op&3 == 3, op>>6 copies) and selective announcement (op&4, then one
+// byte per origin neighbor, odd suppressing that link).
+func fuzzAnns(topo *topology.Topo, norigins int, p *fuzzProgram) []bgp.Announcement {
+	anns := make([]bgp.Announcement, 0, norigins)
+	for k := 0; k < norigins; k++ {
+		a := bgp.Announcement{Origin: p.next() % topo.NumASes()}
+		op := p.next()
+		if op&3 == 3 {
+			a.Prepend = op >> 6
+		}
+		if op&4 != 0 {
+			sup := map[int]bool{}
+			for _, nb := range topo.Neighbors(a.Origin) {
+				if p.next()&1 == 1 {
+					sup[nb.Link] = true
+				}
+			}
+			if len(sup) > 0 {
+				a.SuppressLinks = sup
+			}
+		}
+		anns = append(anns, a)
+	}
+	return anns
+}
+
 // FuzzMatbgpVsOracle drives both engines with fuzzer-chosen announcement
 // sets — origins, prepends, selective announcement, failed links — over a
 // handful of small worlds and requires bit-identical routes, offers, and
@@ -55,46 +99,18 @@ func FuzzMatbgpVsOracle(f *testing.F) {
 	f.Add(uint64(4), []byte{250, 251, 252, 253, 254, 255, 0, 1, 2, 3, 4, 5})
 	f.Fuzz(func(t *testing.T, pick uint64, program []byte) {
 		w := worlds[pick%nseeds]
-		topo, n := w.topo, w.topo.NumASes()
+		topo := w.topo
 		// Decode the byte program into an announcement set plus failed
 		// links. Every byte stream decodes to something valid-ish; invalid
 		// sets (dup origins) are kept on purpose to compare error paths.
-		var anns []bgp.Announcement
 		var down map[int]bool
-		i := 0
-		byteAt := func() int {
-			if i >= len(program) {
-				return 0
-			}
-			b := int(program[i])
-			i++
-			return b
-		}
-		norigins := 1 + byteAt()%4
-		for k := 0; k < norigins; k++ {
-			a := bgp.Announcement{Origin: byteAt() % n}
-			op := byteAt()
-			if op&3 == 3 {
-				a.Prepend = op >> 6
-			}
-			if op&4 != 0 {
-				sup := map[int]bool{}
-				for _, nb := range topo.Neighbors(a.Origin) {
-					if byteAt()&1 == 1 {
-						sup[nb.Link] = true
-					}
-				}
-				if len(sup) > 0 {
-					a.SuppressLinks = sup
-				}
-			}
-			anns = append(anns, a)
-		}
-		for k := byteAt() % 4; k > 0; k-- {
+		p := &fuzzProgram{b: program}
+		anns := fuzzAnns(topo, 1+p.next()%4, p)
+		for k := p.next() % 4; k > 0; k-- {
 			if down == nil {
 				down = map[int]bool{}
 			}
-			down[byteAt()%len(topo.Links)] = true
+			down[p.next()%len(topo.Links)] = true
 		}
 
 		want, werr := w.ref.ComputeWithout(anns, down)
@@ -108,13 +124,6 @@ func FuzzMatbgpVsOracle(f *testing.F) {
 			}
 			return
 		}
-		for as := 0; as < n; as++ {
-			if wb, gb := want.Best(as), got.Best(as); !reflect.DeepEqual(wb, gb) {
-				t.Fatalf("AS %d best route differs:\n reference %+v\n matbgp    %+v", as, wb, gb)
-			}
-			if ow, og := want.OffersTo(as), got.OffersTo(as); !reflect.DeepEqual(ow, og) {
-				t.Fatalf("AS %d offers differ:\n reference %+v\n matbgp    %+v", as, ow, og)
-			}
-		}
+		requireSameRIB(t, topo, want, got, "oracle")
 	})
 }

@@ -8,10 +8,22 @@
 // packed into one 32-bit word per (AS, origin): 2 bits of relation class,
 // 10 bits of path length, 20 bits of next hop.
 //
-// Stub ASes (no customers) with identical provider/peer sets form
-// equivalence classes: the column toward any member is identical except
-// for the member's own row, the representative's row, and the link choice
-// at direct adopters, all of which the engine fixes up at materialization
+// Stub ASes (never the provider end of a customer link) carry most of
+// the graph and almost none of the work. A stub that does not originate
+// the prefix is a leaf: it can only hold a peer or provider route, so it
+// exports nothing and no other AS ever reads its word. Propagation runs
+// over the core alone — non-stubs and origins — and each leaf's row is
+// filled afterwards in one pass over its own adjacencies, honoring failed
+// links and origin-side suppression (leafRow). The CSR serves both sides:
+// every AS lists its non-stub neighbors first, up to adjCore, then its
+// stub neighbors, so core pushes never touch a stub. Delta repair keeps
+// the same split: its dirty set holds only core ASes, and leaves whose
+// inputs a delta touched are refilled once the core reaches its fixpoint.
+//
+// Stubs with identical provider/peer sets also form equivalence classes
+// as origins: the column toward any member is identical except for the
+// member's own row, the representative's row, and the link choice at
+// direct adopters, all of which the engine fixes up at materialization
 // time. With hundreds of stubs sharing a few dozen classes this collapses
 // most of the all-pairs work.
 //
@@ -22,8 +34,10 @@
 package matbgp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/topology"
@@ -52,6 +66,7 @@ type Graph struct {
 	asn []int32
 
 	adjOff   []int32   // n+1 offsets into the adjacency arrays
+	adjCore  []int32   // per AS, end of its non-stub neighbors; stub neighbors follow
 	adjLink  []int32   // link ID
 	adjOther []int32   // neighbor AS
 	adjView  []uint8   // topology.RelView of the neighbor, from the owner
@@ -66,9 +81,13 @@ type Graph struct {
 
 	// Stub compression: classOf[v] >= 0 groups stubs (no customer-view
 	// adjacencies) by identical (provider set, peer set) signature;
-	// classes holds each class's members in ascending order.
+	// classes holds each class's members in ascending order. classOf is
+	// also the graph's stubness test: v is a stub iff classOf[v] >= 0.
 	classOf []int32
 	classes [][]int32
+
+	// colPool recycles column propagation scratch (colState).
+	colPool sync.Pool
 }
 
 // FromTopo lowers a topology into a Graph, precomputing exactly the
@@ -105,20 +124,43 @@ func New(n int, asn []int, links []Link) (*Graph, error) {
 	for i, a := range asn {
 		g.asn[i] = int32(a)
 	}
-	// Degree count, then CSR fill in link-ID order per AS — the same
-	// ascending-link iteration order topology.Neighbors presents, which
-	// the reference engine's first-wins tie behavior depends on.
-	deg := make([]int32, n)
+	// Stubness first (an AS is a stub iff it is never the provider end
+	// of a C2P link), then degree counts split by neighbor stubness, then
+	// one CSR fill in link-ID order that writes each adjacency into its
+	// AS's core part (non-stub neighbor) or stub part. Adjacency order
+	// within a list does not decide any route: every choice is a minimum
+	// under candLess or a (distance, link ID) key, and link IDs are
+	// unique, so those orders are total.
+	stub := make([]bool, n)
+	for i := range stub {
+		stub[i] = true
+	}
 	for i, l := range links {
 		if l.A == l.B || l.A < 0 || l.B < 0 || l.A >= n || l.B >= n {
 			return nil, fmt.Errorf("matbgp: link %d endpoints (%d,%d) invalid", i, l.A, l.B)
 		}
-		deg[l.A]++
-		deg[l.B]++
+		if l.Rel == topology.C2P {
+			stub[l.B] = false
+		}
+	}
+	coreDeg := make([]int32, n)
+	stubDeg := make([]int32, n)
+	count := func(v, other int) {
+		if stub[other] {
+			stubDeg[v]++
+		} else {
+			coreDeg[v]++
+		}
+	}
+	for _, l := range links {
+		count(l.A, l.B)
+		count(l.B, l.A)
 	}
 	g.adjOff = make([]int32, n+1)
+	g.adjCore = make([]int32, n)
 	for i := 0; i < n; i++ {
-		g.adjOff[i+1] = g.adjOff[i] + deg[i]
+		g.adjCore[i] = g.adjOff[i] + coreDeg[i]
+		g.adjOff[i+1] = g.adjCore[i] + stubDeg[i]
 	}
 	m := int(g.adjOff[n])
 	g.adjLink = make([]int32, m)
@@ -128,12 +170,21 @@ func New(n int, asn []int, links []Link) (*Graph, error) {
 	g.adjRev = make([]int32, m)
 	g.nLinks = len(links)
 	g.linkAdj = make([]int32, 2*len(links))
-	fill := make([]int32, n)
-	copy(fill, g.adjOff[:n])
+	// coreDeg and stubDeg become the fill cursors of each AS's two parts.
+	fillCore, fillStub := coreDeg, stubDeg
+	copy(fillCore, g.adjOff[:n])
+	copy(fillStub, g.adjCore)
+	slot := func(v, other int) int32 {
+		fill := fillCore
+		if stub[other] {
+			fill = fillStub
+		}
+		i := fill[v]
+		fill[v]++
+		return i
+	}
 	for i, l := range links {
-		ia, ib := fill[l.A], fill[l.B]
-		fill[l.A]++
-		fill[l.B]++
+		ia, ib := slot(l.A, l.B), slot(l.B, l.A)
 		g.linkAdj[2*i], g.linkAdj[2*i+1] = ia, ib
 		viewA, viewB := topology.ViewPeer, topology.ViewPeer
 		if l.Rel == topology.C2P {
@@ -144,7 +195,8 @@ func New(n int, asn []int, links []Link) (*Graph, error) {
 		g.adjLink[ib], g.adjOther[ib], g.adjView[ib], g.adjDist[ib], g.adjRev[ib] =
 			int32(i), int32(l.A), uint8(viewB), l.DistB, ia
 	}
-	g.compress()
+	g.compress(stub)
+	g.colPool.New = func() any { return newColState(n) }
 	return g, nil
 }
 
@@ -168,37 +220,30 @@ func (g *Graph) ClassMembers(class int) []int32 { return g.classes[class] }
 // the origin's direct adopters, which materialization recomputes per
 // member. Members of a class are never adjacent to each other (a link
 // between them would put each in the other's signature but not its own).
-func (g *Graph) compress() {
+func (g *Graph) compress(stub []bool) {
+	type pair struct {
+		other int32
+		view  uint8
+	}
 	g.classOf = make([]int32, g.n)
 	bySig := make(map[string]int32)
 	var sig []byte
+	var pairs []pair
 	for v := 0; v < g.n; v++ {
 		g.classOf[v] = -1
-		stub := true
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			if g.adjView[i] == uint8(topology.ViewCustomer) {
-				stub = false
-				break
-			}
-		}
-		if !stub {
+		if !stub[v] {
 			continue
 		}
-		// Signature: sorted distinct (neighbor, view) pairs. Adjacencies
-		// are link-ordered, so collect then sort.
-		type pair struct {
-			other int32
-			view  uint8
-		}
-		var pairs []pair
+		// Signature: sorted distinct (neighbor, view) pairs.
+		pairs = pairs[:0]
 		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
 			pairs = append(pairs, pair{g.adjOther[i], g.adjView[i]})
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].other != pairs[j].other {
-				return pairs[i].other < pairs[j].other
+		slices.SortFunc(pairs, func(a, b pair) int {
+			if c := cmp.Compare(a.other, b.other); c != 0 {
+				return c
 			}
-			return pairs[i].view < pairs[j].view
+			return cmp.Compare(a.view, b.view)
 		})
 		sig = sig[:0]
 		var last pair

@@ -57,7 +57,11 @@ func candLess(a, b cand) bool {
 }
 
 // colState is the per-column propagation scratch; one word per AS plus
-// the transient link/dist needed for wave selection.
+// the transient link/dist needed for wave selection. A fresh or reset
+// state has every rel slot relNone, every mark slot -1 and empty
+// candidate buffers, which is how column takes one from the Graph's
+// pool and returns it. Delta repair keeps one per RepairScratch and
+// resets the slots of each dirty set itself (repairSettle).
 type colState struct {
 	rel  []uint8
 	ln   []int32
@@ -68,6 +72,11 @@ type colState struct {
 	mark  []int32 // wave stamp of the pending candidate, -1 when none
 	best  []cand  // best pending candidate at the stamped wave
 	order []int32 // ASes with pending candidates, first-seen order
+
+	// buckets holds pending candidates by path length; peerCands the
+	// one-hop peer offers of phase 2.
+	buckets   [][]cand
+	peerCands []cand
 }
 
 func newColState(n int) *colState {
@@ -79,21 +88,121 @@ func newColState(n int) *colState {
 		mark: make([]int32, n),
 		best: make([]cand, n),
 	}
+	s.reset()
+	return s
+}
+
+// reset returns the state to its between-uses invariant, whatever a
+// (possibly failed) column left behind.
+func (s *colState) reset() {
 	for i := range s.rel {
 		s.rel[i] = relNone
 		s.mark[i] = -1
 	}
-	return s
+	for i := range s.buckets {
+		s.buckets[i] = s.buckets[i][:0]
+	}
+	s.order = s.order[:0]
+	s.peerCands = s.peerCands[:0]
+}
+
+// enqueue files a candidate in the bucket of its path length.
+func (s *colState) enqueue(c cand) {
+	for int(c.ln) >= len(s.buckets) {
+		s.buckets = append(s.buckets, nil)
+	}
+	s.buckets[c.ln] = append(s.buckets[c.ln], c)
+}
+
+// settleWaves drains the buckets in ascending length, settling each
+// adopter on its best same-length candidate (newly settled ASes adopt
+// rel) and calling push for it, which may enqueue longer candidates.
+// Ascending waves let every adopter see all of its shortest offers
+// before deciding, reproducing the reference fixpoint.
+func (s *colState) settleWaves(rel uint8, push func(v int32) error) error {
+	for wl := 0; wl < len(s.buckets); wl++ {
+		pend := s.buckets[wl]
+		if len(pend) == 0 {
+			continue
+		}
+		s.order = s.order[:0]
+		for _, c := range pend {
+			if s.rel[c.to] != relNone {
+				continue // settled at a shorter length or better class
+			}
+			if s.mark[c.to] != int32(wl) {
+				s.mark[c.to] = int32(wl)
+				s.best[c.to] = c
+				s.order = append(s.order, c.to)
+			} else if candLess(c, s.best[c.to]) {
+				s.best[c.to] = c
+			}
+		}
+		for _, to := range s.order {
+			c := s.best[to]
+			s.rel[to], s.ln[to], s.nh[to], s.link[to] = rel, c.ln, c.nh, c.link
+			if err := push(to); err != nil {
+				return err
+			}
+		}
+		s.buckets[wl] = s.buckets[wl][:0]
+	}
+	return nil
+}
+
+// settlePeers settles every still-unrouted adopter of the gathered peer
+// offers on its best by (length, distance, ASN, link): peer routes
+// travel exactly one hop, so there are no waves.
+func (s *colState) settlePeers() {
+	s.order = s.order[:0]
+	for _, c := range s.peerCands {
+		if s.rel[c.to] != relNone {
+			continue // customer routes and origins always beat peer offers
+		}
+		if s.mark[c.to] != -2 {
+			s.mark[c.to] = -2
+			s.best[c.to] = c
+			s.order = append(s.order, c.to)
+			continue
+		}
+		b := s.best[c.to]
+		if c.ln != b.ln {
+			if c.ln < b.ln {
+				s.best[c.to] = c
+			}
+		} else if candLess(c, b) {
+			s.best[c.to] = c
+		}
+	}
+	for _, to := range s.order {
+		c := s.best[to]
+		s.rel[to], s.ln[to], s.nh[to], s.link[to] = relPeer, c.ln, c.nh, c.link
+	}
+	s.peerCands = s.peerCands[:0]
+}
+
+// errPathLen is the path-length capacity error, raised wherever a
+// routed AS would extend its route (or, for a leaf, where it would have).
+func errPathLen() error {
+	return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
 }
 
 // column runs the three valley-free phases for one announcement set and
 // returns the packed result, one word per AS. Errors match the reference
 // engine's (bgp.ComputeWithout) byte for byte.
+//
+// Only the core propagates: pushes scan each AS's non-stub neighbors,
+// so no leaf (non-origin stub) is ever offered, settled or pushed, and
+// every leaf row is filled from the settled core afterwards.
 func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, error) {
 	if len(anns) == 0 {
 		return nil, fmt.Errorf("bgp: no announcements")
 	}
-	s := newColState(g.n)
+	s := g.colPool.Get().(*colState)
+	defer func() {
+		s.reset()
+		g.colPool.Put(s)
+	}()
 	isDown := func(link int32) bool { return down != nil && down[int(link)] }
 	// Origin-side selective announcement, keyed by origin AS.
 	var suppress map[int32]map[int]bool
@@ -126,125 +235,59 @@ func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, er
 		}
 	}
 
-	// Buckets of candidates indexed by path length; waves settle in
-	// ascending length so every adopter sees all of its shortest-length
-	// offers before deciding, reproducing the reference fixpoint.
-	var buckets [][]cand
-	enqueue := func(c cand) {
-		for int(c.ln) >= len(buckets) {
-			buckets = append(buckets, nil)
-		}
-		buckets[c.ln] = append(buckets[c.ln], c)
-	}
-	// push offers v's settled route over its adjacencies of the given
-	// view, honoring origin-side suppression and failed links.
-	push := func(v int32, view uint8) error {
+	// pushView offers v's settled route to its core neighbors of the
+	// given view, honoring origin-side suppression and failed links.
+	pushView := func(v int32, view uint8) error {
 		nl := s.ln[v] + 1
 		if nl > maxPathLen {
-			return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+			return errPathLen()
 		}
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+		for i := g.adjOff[v]; i < g.adjCore[v]; i++ {
 			if g.adjView[i] != view || isDown(g.adjLink[i]) || suppressed(v, g.adjLink[i]) {
 				continue
 			}
-			to := g.adjOther[i]
-			enqueue(cand{
-				to: to, nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
+			s.enqueue(cand{
+				to: g.adjOther[i], nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
 				dist: g.adjDist[g.adjRev[i]],
 			})
 		}
 		return nil
 	}
-	// settleWaves drains the buckets in ascending length, settling each
-	// adopter on its best same-length candidate and pushing onward with
-	// the given view. Newly settled ASes adopt `rel`.
-	settleWaves := func(rel uint8, view uint8) error {
-		for wl := 0; wl < len(buckets); wl++ {
-			pend := buckets[wl]
-			if len(pend) == 0 {
-				continue
-			}
-			s.order = s.order[:0]
-			for _, c := range pend {
-				if s.rel[c.to] != relNone {
-					continue // settled at a shorter length or better class
-				}
-				if s.mark[c.to] != int32(wl) {
-					s.mark[c.to] = int32(wl)
-					s.best[c.to] = c
-					s.order = append(s.order, c.to)
-				} else if candLess(c, s.best[c.to]) {
-					s.best[c.to] = c
-				}
-			}
-			for _, to := range s.order {
-				c := s.best[to]
-				s.rel[to], s.ln[to], s.nh[to], s.link[to] = rel, c.ln, c.nh, c.link
-				if err := push(to, view); err != nil {
-					return err
-				}
-			}
-			buckets[wl] = pend[:0]
-		}
-		return nil
-	}
+	pushUp := func(v int32) error { return pushView(v, uint8(topology.ViewProvider)) }
+	pushDown := func(v int32) error { return pushView(v, uint8(topology.ViewCustomer)) }
 
 	// Phase 1 — customer routes flow upward, settling by path length.
 	for _, a := range anns {
-		if err := push(int32(a.Origin), uint8(topology.ViewProvider)); err != nil {
+		if err := pushUp(int32(a.Origin)); err != nil {
 			return nil, err
 		}
 	}
-	if err := settleWaves(relCustomer, uint8(topology.ViewProvider)); err != nil {
+	if err := s.settleWaves(relCustomer, pushUp); err != nil {
 		return nil, err
 	}
 
 	// Phase 2 — peer routes travel exactly one peer hop: collect every
 	// offer from the customer-routed (and origin) ASes, then let each
-	// unrouted AS pick its best by (length, distance, ASN, link).
-	var peerCands []cand
+	// unrouted core AS pick its best by (length, distance, ASN, link).
 	for v := int32(0); v < int32(g.n); v++ {
 		if s.rel[v] > relCustomer {
 			continue
 		}
 		nl := s.ln[v] + 1
 		if nl > maxPathLen {
-			return nil, fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+			return nil, errPathLen()
 		}
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+		for i := g.adjOff[v]; i < g.adjCore[v]; i++ {
 			if g.adjView[i] != uint8(topology.ViewPeer) || isDown(g.adjLink[i]) || suppressed(v, g.adjLink[i]) {
 				continue
 			}
-			peerCands = append(peerCands, cand{
+			s.peerCands = append(s.peerCands, cand{
 				to: g.adjOther[i], nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
 				dist: g.adjDist[g.adjRev[i]],
 			})
 		}
 	}
-	s.order = s.order[:0]
-	for _, c := range peerCands {
-		if s.rel[c.to] != relNone {
-			continue // customer routes and origins always beat peer offers
-		}
-		if s.mark[c.to] != -2 {
-			s.mark[c.to] = -2
-			s.best[c.to] = c
-			s.order = append(s.order, c.to)
-			continue
-		}
-		b := s.best[c.to]
-		if c.ln != b.ln {
-			if c.ln < b.ln {
-				s.best[c.to] = c
-			}
-		} else if candLess(c, b) {
-			s.best[c.to] = c
-		}
-	}
-	for _, to := range s.order {
-		c := s.best[to]
-		s.rel[to], s.ln[to], s.nh[to], s.link[to] = relPeer, c.ln, c.nh, c.link
-	}
+	s.settlePeers()
 
 	// Phase 3 — provider routes flow downward: every routed AS exports to
 	// its customers, and newly routed customers keep pushing down.
@@ -252,11 +295,11 @@ func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, er
 		if s.rel[v] == relNone {
 			continue
 		}
-		if err := push(v, uint8(topology.ViewCustomer)); err != nil {
+		if err := pushDown(v); err != nil {
 			return nil, err
 		}
 	}
-	if err := settleWaves(relProvider, uint8(topology.ViewCustomer)); err != nil {
+	if err := s.settleWaves(relProvider, pushDown); err != nil {
 		return nil, err
 	}
 
@@ -267,5 +310,78 @@ func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, er
 		}
 		col[v] = packWord(s.rel[v], s.ln[v], s.nh[v])
 	}
+	// Leaf fill: every non-origin stub decides against the settled core.
+	for v := int32(0); v < int32(g.n); v++ {
+		if g.classOf[v] < 0 || s.rel[v] == relOrigin {
+			continue
+		}
+		w, err := g.leafRow(v, col, down, suppress)
+		if err != nil {
+			return nil, err
+		}
+		col[v] = w
+	}
 	return col, nil
+}
+
+// leafRow decides a leaf's (non-origin stub's) best route against a
+// column whose core words are settled, in one pass over its
+// adjacencies: providers export everything, peers export customer-cone
+// routes, failed links and origin-side suppressed links carry nothing,
+// and the leaf picks by relation class, then length, then its own
+// geographic tie-break, neighbor ASN, and link — the full decision
+// process. A leaf never exports, so no other word depends on it. A
+// routed leaf at the path-length capacity errors exactly as its push
+// in a full propagation would.
+func (g *Graph) leafRow(v int32, col []uint32, down map[int]bool, suppress map[int32]map[int]bool) (uint32, error) {
+	var b cand
+	bSrc := relNone
+	for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+		u := g.adjOther[i]
+		if col[u] == 0 {
+			continue
+		}
+		l := g.adjLink[i]
+		if down != nil && down[int(l)] {
+			continue
+		}
+		rel, ln, _ := unpackWord(col[u])
+		if rel == relOrigin && suppress != nil && suppress[u][int(l)] {
+			continue
+		}
+		var src uint8
+		switch g.adjView[i] {
+		case uint8(topology.ViewProvider):
+			src = relProvider
+		case uint8(topology.ViewPeer):
+			if rel > relCustomer {
+				continue
+			}
+			src = relPeer
+		default: // a customer adjacency would make v a non-stub
+			continue
+		}
+		c := cand{to: v, nh: u, link: l, asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]}
+		switch {
+		case bSrc == relNone:
+		case src != bSrc:
+			if src > bSrc {
+				continue
+			}
+		case c.ln != b.ln:
+			if c.ln > b.ln {
+				continue
+			}
+		case !candLess(c, b):
+			continue
+		}
+		b, bSrc = c, src
+	}
+	if bSrc == relNone {
+		return 0, nil
+	}
+	if b.ln >= maxPathLen {
+		return 0, errPathLen()
+	}
+	return packWord(bSrc, b.ln, b.nh), nil
 }

@@ -39,6 +39,12 @@ import (
 // better than the true post-delta words, so pruning never drops a
 // truly-changed AS.
 //
+// Leaves (non-origin stubs, see the package comment) never enter the
+// dirty set: an AS either step would mark goes to a leaf set instead,
+// because no other word depends on a leaf's. Once the core is settled,
+// each marked leaf's row is refilled from its neighbors (leafRow) —
+// including when a delta touched only leaves, like a stub uplink flap.
+//
 // Both steps then re-run the three valley-free phases restricted to the
 // dirty set against the frozen boundary (repairSettle), reproducing the
 // reference decision order exactly — and iterate: a node's exported
@@ -84,6 +90,8 @@ type RepairScratch struct {
 
 	isDirty  []bool
 	dirty    []int32
+	inLeaf   []bool
+	leaves   []int32
 	queue    []int32
 	inq      []bool
 	boundRel []uint8
@@ -92,33 +100,20 @@ type RepairScratch struct {
 	btouched []int32
 	oldWords []uint32
 
-	st        *colState
-	buckets   [][]cand
-	peerCands []cand
+	st *colState
 }
 
 // NewRepairScratch allocates a workspace for Repairers over this Graph.
 func (g *Graph) NewRepairScratch() *RepairScratch {
 	n := g.n
-	st := &colState{
-		rel:  make([]uint8, n),
-		ln:   make([]int32, n),
-		nh:   make([]int32, n),
-		link: make([]int32, n),
-		mark: make([]int32, n),
-		best: make([]cand, n),
-	}
-	for i := range st.rel {
-		st.rel[i] = relNone
-		st.mark[i] = -1
-	}
 	return &RepairScratch{
 		isDirty:  make([]bool, n),
+		inLeaf:   make([]bool, n),
 		inq:      make([]bool, n),
 		boundRel: make([]uint8, n),
 		boundLn:  make([]int32, n),
 		bset:     make([]bool, n),
-		st:       st,
+		st:       newColState(n),
 	}
 }
 
@@ -243,12 +238,39 @@ func viewOfRel(rel uint8) uint8 {
 	}
 }
 
-// mark adds an AS to the dirty set.
+// mark adds an AS to the dirty set, or a stub to the leaf set. Origins
+// are never marked (no offer beats or ties an origin route, and no
+// origin routes via a neighbor), so every marked stub is a leaf.
 func (r *Repairer) mark(v int32) {
-	if !r.sc.isDirty[v] {
-		r.sc.isDirty[v] = true
-		r.sc.dirty = append(r.sc.dirty, v)
+	sc := r.sc
+	if r.g.classOf[v] >= 0 {
+		if !sc.inLeaf[v] {
+			sc.inLeaf[v] = true
+			sc.leaves = append(sc.leaves, v)
+		}
+		return
 	}
+	if !sc.isDirty[v] {
+		sc.isDirty[v] = true
+		sc.dirty = append(sc.dirty, v)
+	}
+}
+
+// finish settles the marked core to its fixpoint, refills the marked
+// leaves against it, and clears both sets for the next step.
+func (r *Repairer) finish() error {
+	defer r.resetDirty()
+	if err := r.settleAndCheck(); err != nil {
+		return err
+	}
+	for _, v := range r.sc.leaves {
+		w, err := r.g.leafRow(v, r.col, r.down, r.suppress)
+		if err != nil {
+			return err
+		}
+		r.col[v] = w
+	}
+	return nil
 }
 
 // applyDown removes links from the topology and repairs the withdraw
@@ -256,6 +278,7 @@ func (r *Repairer) mark(v int32) {
 // over a removed link; the cone closes over route-tree descendants,
 // which are always neighbors of their parent (a next hop is learned
 // over an adjacency), so the closure scans only the cone's adjacencies.
+// Leaves in the cone are refilled even when no core AS is dirty.
 func (r *Repairer) applyDown(links []int) error {
 	g := r.g
 	var fresh []int32
@@ -293,9 +316,6 @@ func (r *Repairer) applyDown(links []int) error {
 		seed(a, b, ia)
 		seed(b, a, ib)
 	}
-	if len(sc.dirty) == 0 {
-		return nil
-	}
 	for qh := 0; qh < len(sc.dirty); qh++ {
 		v := sc.dirty[qh]
 		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
@@ -310,9 +330,7 @@ func (r *Repairer) applyDown(links []int) error {
 			}
 		}
 	}
-	err := r.settleAndCheck()
-	r.resetDirty()
-	return err
+	return r.finish()
 }
 
 // settleAndCheck runs restricted settle passes over the dirty set until
@@ -508,9 +526,7 @@ func (r *Repairer) applyUp(links []int) error {
 		sc.bset[v] = false
 	}
 	sc.btouched = sc.btouched[:0]
-	err := r.settleAndCheck()
-	r.resetDirty()
-	return err
+	return r.finish()
 }
 
 func (r *Repairer) resetDirty() {
@@ -519,6 +535,10 @@ func (r *Repairer) resetDirty() {
 		sc.isDirty[v] = false
 	}
 	sc.dirty = sc.dirty[:0]
+	for _, v := range sc.leaves {
+		sc.inLeaf[v] = false
+	}
+	sc.leaves = sc.leaves[:0]
 	sc.queue = sc.queue[:0]
 }
 
@@ -550,22 +570,15 @@ func (r *Repairer) repairSettle() error {
 		return r.suppress[as][int(link)]
 	}
 
-	buckets := sc.buckets
-	enqueue := func(c cand) {
-		for int(c.ln) >= len(buckets) {
-			buckets = append(buckets, nil)
-		}
-		buckets[c.ln] = append(buckets[c.ln], c)
-	}
-	// push mirrors column's: offers v's settled route over its
-	// adjacencies of the given view. Only dirty ASes may adopt, so
-	// offers to frozen ones are dropped here.
-	push := func(v int32, view uint8) error {
+	// push mirrors column's: offers v's settled route to its core
+	// neighbors of the given view (the dirty set holds only core ASes).
+	// Only dirty ASes may adopt, so offers to frozen ones are dropped.
+	pushView := func(v int32, view uint8) error {
 		nl := s.ln[v] + 1
 		if nl > maxPathLen {
-			return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+			return errPathLen()
 		}
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+		for i := g.adjOff[v]; i < g.adjCore[v]; i++ {
 			if g.adjView[i] != view || isDown(g.adjLink[i]) || suppressedC(s.rel[v], v, g.adjLink[i]) {
 				continue
 			}
@@ -573,40 +586,10 @@ func (r *Repairer) repairSettle() error {
 			if !isDirty[to] {
 				continue
 			}
-			enqueue(cand{
+			s.enqueue(cand{
 				to: to, nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
 				dist: g.adjDist[g.adjRev[i]],
 			})
-		}
-		return nil
-	}
-	settleWaves := func(rel uint8, view uint8) error {
-		for wl := 0; wl < len(buckets); wl++ {
-			pend := buckets[wl]
-			if len(pend) == 0 {
-				continue
-			}
-			s.order = s.order[:0]
-			for _, c := range pend {
-				if s.rel[c.to] != relNone {
-					continue
-				}
-				if s.mark[c.to] != int32(wl) {
-					s.mark[c.to] = int32(wl)
-					s.best[c.to] = c
-					s.order = append(s.order, c.to)
-				} else if candLess(c, s.best[c.to]) {
-					s.best[c.to] = c
-				}
-			}
-			for _, to := range s.order {
-				c := s.best[to]
-				s.rel[to], s.ln[to], s.nh[to], s.link[to] = rel, c.ln, c.nh, c.link
-				if err := push(to, view); err != nil {
-					return err
-				}
-			}
-			buckets[wl] = pend[:0]
 		}
 		return nil
 	}
@@ -618,7 +601,8 @@ func (r *Repairer) repairSettle() error {
 	// settleWaves as they settle.
 
 	// Phase 1 — customer routes flow up: a dirty AS hears from frozen
-	// customers holding origin/customer routes.
+	// customers holding origin/customer routes. Origin stubs are among
+	// them, so phases 1 and 2 scan the full adjacency list.
 	for _, v := range dirty {
 		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
 			if g.adjView[i] != uint8(topology.ViewCustomer) || isDown(g.adjLink[i]) {
@@ -633,19 +617,18 @@ func (r *Repairer) repairSettle() error {
 				continue
 			}
 			if ln+1 > maxPathLen {
-				return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+				return errPathLen()
 			}
-			enqueue(cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
+			s.enqueue(cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
 		}
 	}
-	sc.buckets = buckets
-	if err := settleWaves(relCustomer, uint8(topology.ViewProvider)); err != nil {
+	pushUp := func(v int32) error { return pushView(v, uint8(topology.ViewProvider)) }
+	if err := s.settleWaves(relCustomer, pushUp); err != nil {
 		return err
 	}
 
 	// Phase 2 — one peer hop: still-unrouted dirty ASes hear from any
 	// neighbor (frozen or just-settled) holding an origin/customer route.
-	peerCands := sc.peerCands[:0]
 	for _, v := range dirty {
 		if s.rel[v] != relNone {
 			continue
@@ -660,46 +643,22 @@ func (r *Repairer) repairSettle() error {
 				continue
 			}
 			if ln+1 > maxPathLen {
-				return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+				return errPathLen()
 			}
-			peerCands = append(peerCands, cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
+			s.peerCands = append(s.peerCands, cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
 		}
 	}
-	sc.peerCands = peerCands[:0]
-	s.order = s.order[:0]
-	for _, c := range peerCands {
-		if s.rel[c.to] != relNone {
-			continue
-		}
-		if s.mark[c.to] != -2 {
-			s.mark[c.to] = -2
-			s.best[c.to] = c
-			s.order = append(s.order, c.to)
-			continue
-		}
-		b := s.best[c.to]
-		if c.ln != b.ln {
-			if c.ln < b.ln {
-				s.best[c.to] = c
-			}
-		} else if candLess(c, b) {
-			s.best[c.to] = c
-		}
-	}
-	for _, to := range s.order {
-		c := s.best[to]
-		s.rel[to], s.ln[to], s.nh[to], s.link[to] = relPeer, c.ln, c.nh, c.link
-	}
+	s.settlePeers()
 
 	// Phase 3 — provider routes flow down: still-unrouted dirty ASes
 	// hear from any routed provider; dirty ASes settled in earlier
 	// phases already appear via the scratch, later settlers push
-	// in-wave.
+	// in-wave. Providers are never stubs, so the core part suffices.
 	for _, v := range dirty {
 		if s.rel[v] != relNone {
 			continue
 		}
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+		for i := g.adjOff[v]; i < g.adjCore[v]; i++ {
 			if g.adjView[i] != uint8(topology.ViewProvider) || isDown(g.adjLink[i]) {
 				continue
 			}
@@ -709,17 +668,16 @@ func (r *Repairer) repairSettle() error {
 				continue
 			}
 			if ln+1 > maxPathLen {
-				return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+				return errPathLen()
 			}
-			enqueue(cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
+			s.enqueue(cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
 		}
 	}
-	sc.buckets = buckets
-	if err := settleWaves(relProvider, uint8(topology.ViewCustomer)); err != nil {
+	pushDown := func(v int32) error { return pushView(v, uint8(topology.ViewCustomer)) }
+	if err := s.settleWaves(relProvider, pushDown); err != nil {
 		return err
 	}
 
-	sc.buckets = buckets
 	for _, v := range dirty {
 		if s.rel[v] == relNone {
 			r.col[v] = 0

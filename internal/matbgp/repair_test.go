@@ -1,6 +1,7 @@
 package matbgp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -110,6 +111,84 @@ func TestRepairMatchesRebuildRandomDeltas(t *testing.T) {
 					cmp = nil
 				}
 				checkColumn(t, g, r, anns, cmp, step)
+			}
+		}
+	}
+}
+
+// TestRepairLeafOnlyDeltas walks repair chains through deltas that touch
+// only leaves — links with a non-origin stub endpoint and no origin
+// endpoint, so no core word may move — and requires after every delta
+// the rebuild's column, unchanged core words, and the reference's routes
+// and offers. Such deltas leave the dirty set empty; only the leaf
+// refill runs.
+func TestRepairLeafOnlyDeltas(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		topo := repairTopo(t, seed)
+		eng, err := NewEngine(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ref, n := eng.Graph(), bgp.NewReference(topo), topo.NumASes()
+		var firstStub int
+		for g.ClassOf(firstStub) < 0 {
+			firstStub++
+		}
+		annSets := [][]bgp.Announcement{
+			{{Origin: 0}},
+			{{Origin: firstStub}},
+			{{Origin: 1}, {Origin: firstStub, Prepend: 1}},
+		}
+		rng := rand.New(rand.NewSource(int64(seed) * 104729))
+		for ai, anns := range annSets {
+			origin := map[int]bool{}
+			for _, a := range anns {
+				origin[a.Origin] = true
+			}
+			var leafLinks []int
+			for _, l := range topo.Links {
+				if !origin[l.A] && !origin[l.B] && (g.ClassOf(l.A) >= 0 || g.ClassOf(l.B) >= 0) {
+					leafLinks = append(leafLinks, l.ID)
+				}
+			}
+			rr, err := eng.StartRepair(anns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rr.(*ribRepairer).r
+			initial := append([]uint32(nil), r.Column()...)
+			down := map[int]bool{}
+			for step := 0; step < 40; step++ {
+				var d delta.Delta
+				for k := rng.Intn(3); k > 0; k-- {
+					d.Down = append(d.Down, leafLinks[rng.Intn(len(leafLinks))])
+				}
+				for k := rng.Intn(3); k > 0; k-- {
+					d.Up = append(d.Up, leafLinks[rng.Intn(len(leafLinks))])
+				}
+				down = delta.Apply(down, d)
+				if err := rr.Apply(d); err != nil {
+					t.Fatalf("seed %d anns %d step %d: %v", seed, ai, step, err)
+				}
+				var cmp map[int]bool
+				if len(down) > 0 {
+					cmp = down
+				}
+				checkColumn(t, g, r, anns, cmp, step)
+				for v := 0; v < n; v++ {
+					if g.ClassOf(v) < 0 && r.Column()[v] != initial[v] {
+						t.Fatalf("seed %d anns %d step %d: core AS %d moved on a leaf-only delta", seed, ai, step, v)
+					}
+				}
+				want, err := ref.ComputeWithout(anns, cmp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rr.RIB()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRIB(t, topo, want, got, fmt.Sprintf("seed %d anns %d step %d", seed, ai, step))
 			}
 		}
 	}
@@ -255,10 +334,50 @@ func TestStartRepairValidatesAnnouncements(t *testing.T) {
 	}
 }
 
-// FuzzDeltaRepair is the tentpole's fuzz contract: fuzzer-chosen
-// announcement sets and delta programs over small worlds, with the
-// repaired column compared word-for-word against a fresh rebuild after
-// every delta. Run via `make fuzz-delta`.
+// leafSeedPrograms builds FuzzDeltaRepair inputs (for the world at pick
+// 0) around the two leaf shapes repair must refill: a plain transit
+// origin while one of its stub customers' uplinks flaps, and the same
+// origin suppressing its link to that stub while the stub's other
+// uplink flaps.
+func leafSeedPrograms(f *testing.F, topo *topology.Topo, g *Graph) [][]byte {
+	for s := 0; s < topo.NumASes(); s++ {
+		if g.ClassOf(s) < 0 {
+			continue
+		}
+		var ups []topology.Neighbor
+		for _, nb := range topo.Neighbors(s) {
+			if nb.View == topology.ViewProvider {
+				ups = append(ups, nb)
+			}
+		}
+		if len(ups) < 2 {
+			continue
+		}
+		origin, first, second := byte(ups[0].Other), byte(ups[0].Link), byte(ups[1].Link)
+		// One origin, no op; then a down step and an up step of the link.
+		flap := []byte{0, origin, 0, 1, first, 0, 0, 1, first}
+		sup := []byte{0, origin, 4}
+		for _, nb := range topo.Neighbors(ups[0].Other) {
+			bit := byte(0)
+			if nb.Link == ups[0].Link {
+				bit = 1
+			}
+			sup = append(sup, bit)
+		}
+		sup = append(sup, 1, second, 0, 0, 1, second)
+		return [][]byte{flap, sup}
+	}
+	f.Fatal("no multihomed stub in the fuzz world")
+	return nil
+}
+
+// FuzzDeltaRepair is the delta-repair fuzz contract: fuzzer-chosen
+// announcement sets (prepends and selective announcement included) and
+// delta programs over small worlds. After every delta the repaired
+// column must equal a fresh rebuild word for word, and its materialized
+// RIB must match the recursive reference at the same down set — the
+// rebuild shares the leaf fill with repair, the reference shares
+// nothing. Run via `make fuzz-delta`.
 func FuzzDeltaRepair(f *testing.F) {
 	const nseeds = 4
 	worlds := make([]*fuzzWorld, nseeds)
@@ -269,40 +388,36 @@ func FuzzDeltaRepair(f *testing.F) {
 	f.Add(uint64(2), []byte{2, 9, 200, 0, 0, 7, 255, 1})
 	f.Add(uint64(3), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add(uint64(4), []byte{40, 30, 20, 10, 0, 10, 20, 30, 40})
+	for _, prog := range leafSeedPrograms(f, worlds[0].topo, worlds[0].eng.g) {
+		f.Add(uint64(0), prog)
+	}
 	f.Fuzz(func(t *testing.T, pick uint64, program []byte) {
 		w := worlds[pick%nseeds]
 		g := w.eng.g
 		topo := w.topo
-		n, nl := topo.NumASes(), len(topo.Links)
-		i := 0
-		byteAt := func() int {
-			if i >= len(program) {
-				return 0
-			}
-			b := int(program[i])
-			i++
-			return b
-		}
-		var anns []bgp.Announcement
-		for k := 1 + byteAt()%3; k > 0; k-- {
-			anns = append(anns, bgp.Announcement{Origin: byteAt() % n})
-		}
-		r, err := g.NewRepairer(anns, nil)
+		nl := len(topo.Links)
+		p := &fuzzProgram{b: program}
+		anns := fuzzAnns(topo, 1+p.next()%3, p)
+		rr, err := w.eng.StartRepair(anns)
 		if err != nil {
-			// Invalid set (duplicate origin): the rebuild must agree.
-			if _, rerr := g.column(anns, nil); rerr == nil || rerr.Error() != err.Error() {
-				t.Fatalf("error divergence: repairer %v, rebuild %v", err, rerr)
+			// Invalid set (duplicate origin): the rebuild and the
+			// reference must agree.
+			_, rerr := g.column(anns, nil)
+			_, ferr := w.ref.Compute(anns)
+			if rerr == nil || rerr.Error() != err.Error() || ferr == nil || ferr.Error() != err.Error() {
+				t.Fatalf("error divergence: repairer %v, rebuild %v, reference %v", err, rerr, ferr)
 			}
 			return
 		}
+		r := rr.(*ribRepairer).r
 		down := map[int]bool{}
-		for step := 0; i < len(program) && step < 32; step++ {
+		for step := 0; p.more() && step < 32; step++ {
 			var d delta.Delta
-			for k := byteAt() % 3; k > 0; k-- {
-				d.Down = append(d.Down, byteAt()%nl)
+			for k := p.next() % 3; k > 0; k-- {
+				d.Down = append(d.Down, p.next()%nl)
 			}
-			for k := byteAt() % 3; k > 0; k-- {
-				d.Up = append(d.Up, byteAt()%nl)
+			for k := p.next() % 3; k > 0; k-- {
+				d.Up = append(d.Up, p.next()%nl)
 			}
 			for _, l := range d.Down {
 				down[l] = true
@@ -310,7 +425,7 @@ func FuzzDeltaRepair(f *testing.F) {
 			for _, l := range d.Up {
 				delete(down, l)
 			}
-			if err := r.Apply(d); err != nil {
+			if err := rr.Apply(d); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			cmp := map[int]bool{}
@@ -331,6 +446,15 @@ func FuzzDeltaRepair(f *testing.F) {
 						step, v, got[v], want[v], d, down)
 				}
 			}
+			ref, err := w.ref.ComputeWithout(anns, cmp)
+			if err != nil {
+				t.Fatalf("step %d reference: %v", step, err)
+			}
+			rib, err := rr.RIB()
+			if err != nil {
+				t.Fatalf("step %d RIB: %v", step, err)
+			}
+			requireSameRIB(t, topo, ref, rib, fmt.Sprintf("step %d (down %v)", step, down))
 		}
 	})
 }
